@@ -1,5 +1,8 @@
 """Benchmark: Index-Buffer fast kernels vs the reference Tender hot path.
 
+The fast side is the production ``TenderExecutor``; the reference side is
+``repro.core.reference.ReferenceTenderExecutor``, the literal-equation oracle.
+
 Three measurements ride in one benchmark round, each asserting bit-identical
 results before timing anything:
 
@@ -31,17 +34,19 @@ import json
 import os
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.core import TenderConfig, TenderExecutor, TenderQuantizer
 from repro.core.perf import best_of, decode_projection_operands, synthetic_projection_site
+from repro.core.reference import ReferenceTenderExecutor
 from repro.data import calibration_samples, load_corpus
 from repro.experiments.report import format_table, full_evaluation_enabled
 from repro.models import TransformerRunner, get_language_model
 from repro.serve.kv_cache import KVCache
-from repro.serve.paged_kv_cache import PagedKVCache
+from repro.serve.paged_kv_cache import PagedKVCache, SlotBatchView
 
 MODEL_NAME = "opt-6.7b-sim"
 NUM_GROUPS = 8
@@ -78,8 +83,8 @@ def run_projection_bench() -> dict:
     params = synthetic_projection_site(config)
     x, positions, weight = decode_projection_operands()  # rows scattered over 8 chunks
 
-    fast = TenderExecutor(params, config, implicit=True, fast_kernels=True)
-    reference = TenderExecutor(params, config, implicit=True, fast_kernels=False)
+    fast = TenderExecutor(params, config, implicit=True)
+    reference = ReferenceTenderExecutor(params, config, implicit=True)
     identical = bool(
         np.array_equal(
             fast.project("site", x, weight, None, positions=positions),
@@ -115,8 +120,8 @@ def run_attention_bench() -> dict:
         a[..., 1] *= 30.0
         b = rng.normal(size=b_shape)
         for implicit in (True, False):
-            fast = TenderExecutor({}, config, implicit=implicit, fast_kernels=True)
-            reference = TenderExecutor({}, config, implicit=implicit, fast_kernels=False)
+            fast = TenderExecutor({}, config, implicit=implicit)
+            reference = ReferenceTenderExecutor({}, config, implicit=implicit)
             identical = bool(
                 np.array_equal(
                     fast.attention_matmul("qk", a, b), reference.attention_matmul("qk", a, b)
@@ -147,11 +152,12 @@ def run_decode_step_bench() -> dict:
     corpus_train, _ = load_corpus("wiki", vocab_size=model_config.vocab_size).split()
     calibration = calibration_samples(corpus_train, seq_len=96, num_samples=4, seed=7)
     tender_config = TenderConfig(bits=8, num_groups=NUM_GROUPS, row_chunk_size=32)
+    quantizer = TenderQuantizer(tender_config, implicit=True)
     runners = {
-        fast: TenderQuantizer(tender_config, implicit=True, fast_kernels=fast).quantize(
-            weights, calibration
-        )
-        for fast in (True, False)
+        True: quantizer.quantize(weights, calibration),
+        False: TransformerRunner(
+            weights, ReferenceTenderExecutor(quantizer.site_params, tender_config, implicit=True)
+        ),
     }
 
     # Continuous-batching regime: every slot sits at its own position, so
@@ -219,8 +225,8 @@ def run_paged_attention_bench() -> dict:
         pool = PagedKVCache.for_model(model_config, max_active=batch, block_size=16)
         view = pool.view([pool.reserve(context + steps) for _ in range(batch)])
         tokens = np.stack([corpus_train[row * 3 : row * 3 + context] for row in range(batch)])
-        runner.fused_paged_attention = fused
-        try:
+        # Hiding the block-table operands forces the gather path.
+        with mock.patch.object(SlotBatchView, "supports_paged_attention", fused):
             next_tokens = runner.prefill(tokens, np.full(batch, context), view).argmax(axis=-1)
             view.commit()
             gather_bytes = pool.gather_bytes
@@ -230,8 +236,6 @@ def run_paged_attention_bench() -> dict:
                 next_tokens = runner.decode_step(next_tokens, view).argmax(axis=-1)
                 generated.append(next_tokens.copy())
             elapsed = (time.perf_counter() - start) / steps
-        finally:
-            runner.fused_paged_attention = True
         return elapsed, np.array(generated), pool.gather_bytes - gather_bytes
 
     results: dict = {"batch": batch, "steps": steps}

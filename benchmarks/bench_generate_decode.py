@@ -99,7 +99,8 @@ import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.baselines import SchemeRequest, build_runner
-from repro.core import TenderConfig, TenderExecutor, TenderQuantizer
+from repro.core import TenderConfig, TenderQuantizer
+from repro.core.reference import ReferenceTenderExecutor, loop_attention_matmul
 from repro.data import calibration_samples, load_corpus
 from repro.experiments.report import format_table, full_evaluation_enabled
 from repro.gpu import (
@@ -209,7 +210,7 @@ def run_vectorization_bench() -> dict:
     """Vectorized vs reference-loop Tender attention on decode-shaped operands."""
     repeats = 7 if full_evaluation_enabled() else 5
     config = TenderConfig(bits=8, num_groups=8, quantize_attention=True)
-    executor = TenderExecutor({}, config)
+    vectorized = ReferenceTenderExecutor({}, config)._attention_quantized
     rng = np.random.default_rng(17)
     # One decode step's score matmul: 32 requests x 8 heads, context length 48.
     # 256 head-pairs keep the reference loop's Python overhead dominant, so
@@ -221,17 +222,15 @@ def run_vectorization_bench() -> dict:
     # A transient load spike on a shared machine can skew one sample, so the
     # measurement is retried a couple of times and the best ratio kept —
     # contention has to persist across attempts to flake the tier-1 gate.
-    loop_result = executor._attention_matmul_loop(queries, keys_t)
-    vectorized_result = executor._attention_matmul_vectorized(queries, keys_t)
+    loop_result = loop_attention_matmul(queries, keys_t, config)
+    vectorized_result = vectorized(queries, keys_t)
 
     loop_s = vectorized_s = None
     for _ in range(3):
         attempt_loop = min(
-            _timed(executor._attention_matmul_loop, queries, keys_t) for _ in range(repeats)
+            _timed(loop_attention_matmul, queries, keys_t, config) for _ in range(repeats)
         )
-        attempt_vec = min(
-            _timed(executor._attention_matmul_vectorized, queries, keys_t) for _ in range(repeats)
-        )
+        attempt_vec = min(_timed(vectorized, queries, keys_t) for _ in range(repeats))
         if loop_s is None or attempt_loop / attempt_vec > loop_s / vectorized_s:
             loop_s, vectorized_s = attempt_loop, attempt_vec
         if loop_s / vectorized_s >= 8.0:

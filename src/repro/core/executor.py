@@ -15,14 +15,13 @@ only when the configuration enables them ("Tender (all)" in Tables II/III and
 all BERT results in Table IV); they use dynamic per-head decomposition since
 their operands are produced at runtime.
 
-Two implementations back every matmul site.  The *reference* paths follow the
-equations literally (per-chunk Python loop, per-group gathered or masked
-products, full-array accumulator overflow scans); the *fast* paths
-(:mod:`repro.core.kernels`, on by default via ``fast_kernels=True``) mirror
-the accelerator's Index-Buffer dataflow — packed per-chunk calibration
-tables, group-contiguous or fused integer matmuls, analytic overflow bounds —
-and are bit-identical to the reference, which stays selectable for
-regression tests and benchmarking.
+Every matmul site has one implementation, built on :mod:`repro.core.kernels`
+and mirroring the accelerator's Index-Buffer dataflow: packed per-chunk
+calibration tables, group-contiguous or fused integer matmuls, analytic
+overflow bounds.  The literal equations (per-chunk Python loop, per-group
+gathered or masked products, full-array accumulator overflow scans) live in
+:mod:`repro.core.reference`, which only the parity tests and benchmarks
+import; this module is pinned bit-identical to it.
 """
 
 from __future__ import annotations
@@ -33,12 +32,7 @@ import numpy as np
 
 from repro.core.calibration import TenderSiteParams, calibrate_tender
 from repro.core.config import TenderConfig
-from repro.core.decomposition import (
-    ChannelDecomposition,
-    compute_channel_bias,
-    decompose_channels,
-    quantize_decomposed,
-)
+from repro.core.decomposition import compute_channel_bias
 from repro.core.kernels import (
     fused_implicit_matmul,
     ordered_explicit_matmul,
@@ -47,16 +41,12 @@ from repro.core.kernels import (
     stacked_implicit_bound,
     stacked_implicit_matmul,
 )
-from repro.core.requantization import requantized_matmul
+from repro.core.requantization import _ACC_MAX, _ACC_MIN
 from repro.errors import CalibrationError, QuantizationError
 from repro.models.inference import TransformerRunner
 from repro.models.weights import ModelWeights
 from repro.quant.granularity import Granularity, compute_scale, integer_range
 from repro.quant.quantize import quantize_symmetric
-
-#: Hardware accumulator range (Section IV-B), shared with the requantization kernels.
-_ACC_MAX = 2**31 - 1
-_ACC_MIN = -(2**31)
 
 
 class TenderExecutor:
@@ -72,29 +62,15 @@ class TenderExecutor:
         site_params: Dict[str, TenderSiteParams],
         config: Optional[TenderConfig] = None,
         implicit: bool = True,
-        vectorized_attention: bool = True,
-        fast_kernels: bool = True,
     ) -> None:
         self.site_params = site_params
         self.config = config or TenderConfig()
         #: Whether to use implicit (shift-accumulate) or explicit requantization.
         self.implicit = implicit
-        #: Whether activation-activation matmuls use the batched (stacked-head)
-        #: kernel or the reference per-batch/per-head loop.  Both produce
-        #: bit-identical results; the loop is kept for regression tests.
-        self.vectorized_attention = vectorized_attention
-        #: Whether the Index-Buffer-ordered fast kernels (repro.core.kernels)
-        #: serve the hot path.  They are bit-identical to the reference
-        #: implementations (pinned by tests/core/test_fast_kernels.py), which
-        #: stay selectable for regression testing and benchmarking.
-        self.fast_kernels = fast_kernels
         self._weight_cache: Dict[str, tuple] = {}
         self._weight64_cache: Dict[str, np.ndarray] = {}
         self._permuted_weight_cache: Dict[tuple, np.ndarray] = {}
-        self._bias_projection_cache: Dict[str, List[np.ndarray]] = {}
         self._bias_projection_stack_cache: Dict[str, np.ndarray] = {}
-        #: Simple counters useful for tests and the GPU latency model.
-        self.stats = {"projections": 0, "attention_matmuls": 0, "rescales": 0}
 
     # ------------------------------------------------------------------
     # Weight handling
@@ -107,22 +83,18 @@ class TenderExecutor:
             self._weight_cache[name] = (values, scale)
         return self._weight_cache[name]
 
-    def _bias_projection(self, name: str, weight: np.ndarray) -> List[np.ndarray]:
-        """Pre-computed ``bias @ W`` per chunk (added back after the int matmul)."""
-        if name not in self._bias_projection_cache:
-            params = self.site_params[name]
-            self._bias_projection_cache[name] = [chunk.bias @ weight for chunk in params.chunks]
-        return self._bias_projection_cache[name]
-
     def _bias_projection_stack(self, name: str, weight: np.ndarray) -> np.ndarray:
         """The per-chunk ``bias @ W`` compensations as one (chunks, out) table.
 
-        Stacks the exact per-chunk products of :meth:`_bias_projection` (same
-        1-D BLAS calls, hence bit-identical values) so the fast path can
-        gather each row's compensation by chunk index.
+        Each row is its chunk's own 1-D ``bias @ W`` product (the same BLAS
+        call the reference makes per chunk, hence bit-identical values), so
+        every row's compensation is gathered by chunk index.
         """
         if name not in self._bias_projection_stack_cache:
-            self._bias_projection_stack_cache[name] = np.stack(self._bias_projection(name, weight))
+            chunks = self.site_params[name].chunks
+            self._bias_projection_stack_cache[name] = np.stack(
+                [chunk.bias @ weight for chunk in chunks]
+            )
         return self._bias_projection_stack_cache[name]
 
     def _weight_f64(self, name: str, quantized_weight: np.ndarray) -> np.ndarray:
@@ -139,7 +111,7 @@ class TenderExecutor:
     def _permuted_weight(self, name: str, chunk_index: int, quantized_weight, packed) -> np.ndarray:
         """Weight rows in a chunk's Index-Buffer order, cached per (site, chunk).
 
-        The reference path re-gathers ``G`` row subsets of the weight on
+        The literal equations re-gather ``G`` row subsets of the weight on
         every call; the hardware instead streams the weight through the
         systolic array already sorted by the Index Buffer.  Caching the
         permuted weight makes every group a contiguous row slice.
@@ -163,16 +135,9 @@ class TenderExecutor:
         are unaffected (row index == position); the incremental decode path
         relies on this so a token's quantization parameters do not depend on
         how its request was batched.
-
-        With ``fast_kernels`` (the default) the packed Index-Buffer path
-        serves the call — one gather of the per-chunk calibration tables
-        indexed by ``positions // chunk_size``, one vectorized quantize, and
-        a fused or group-contiguous integer matmul; the reference per-chunk
-        loop is kept selectable and both produce bit-identical outputs.
         """
         if name not in self.site_params:
             raise CalibrationError(f"no Tender calibration for matmul site {name!r}")
-        self.stats["projections"] += 1
         params = self.site_params[name]
         q_weight, w_scale = self._quantized_weight(name, weight)
 
@@ -186,11 +151,7 @@ class TenderExecutor:
                 raise CalibrationError(
                     f"positions has {row_chunk.shape[0]} entries for {rows} activation rows"
                 )
-        if self.fast_kernels:
-            output = self._project_fast(name, params, x, row_chunk, q_weight, w_scale, weight)
-        else:
-            output = self._project_reference(name, params, x, row_chunk, q_weight, w_scale, weight)
-        self.stats["rescales"] += (self.config.num_groups - 1) * int(np.unique(row_chunk).size)
+        output = self._project_quantized(name, params, x, row_chunk, q_weight, w_scale, weight)
         if bias is not None:
             output = output + bias
         return output
@@ -210,31 +171,8 @@ class TenderExecutor:
         for position, chunk_index in enumerate(unique_chunks):
             yield int(chunk_index), order[boundaries[position] : boundaries[position + 1]]
 
-    def _project_reference(self, name, params, x, row_chunk, q_weight, w_scale, weight):
-        """Reference projection: per-chunk loop of gathered-group matmuls."""
-        bias_projections = self._bias_projection(name, weight)
-        output = np.empty((x.shape[0], weight.shape[1]), dtype=np.float64)
-        for chunk_index, row_indices in self._iter_chunk_rows(row_chunk):
-            chunk_params = params.chunk(chunk_index)
-            chunk_x = x[row_indices]
-            if self.config.subtract_bias:
-                chunk_x = chunk_x - chunk_params.bias
-            quantized, _ = quantize_decomposed(chunk_x, chunk_params.decomposition)
-            result = requantized_matmul(
-                quantized,
-                chunk_params.decomposition,
-                q_weight,
-                w_scale,
-                implicit=self.implicit,
-            )
-            if self.config.subtract_bias:
-                compensation_index = min(chunk_index, len(bias_projections) - 1)
-                result = result + bias_projections[compensation_index]
-            output[row_indices] = result
-        return output
-
-    def _project_fast(self, name, params, x, row_chunk, q_weight, w_scale, weight):
-        """Packed fast projection: gather, quantize, fused/grouped matmul.
+    def _project_quantized(self, name, params, x, row_chunk, q_weight, w_scale, weight):
+        """Index-Buffer projection: gather, quantize, fused/grouped matmul.
 
         Every row's calibration metadata (bias, per-channel scales, rescale
         weights) is gathered from the packed tables by chunk index in one
@@ -306,32 +244,18 @@ class TenderExecutor:
         return not self.config.quantize_attention
 
     def attention_matmul(self, name, a, b):
+        """Activation-activation product, dynamically Tender-quantized per head
+        when the configuration enables ``quantize_attention``."""
         if not self.config.quantize_attention:
             return a @ b
-        self.stats["attention_matmuls"] += 1
-        if self.fast_kernels:
-            return self._attention_matmul_fast(a, b)
-        if self.vectorized_attention:
-            return self._attention_matmul_vectorized(a, b)
-        return self._attention_matmul_loop(a, b)
-
-    def _attention_matmul_loop(self, a, b):
-        """Reference implementation: one dynamic Tender matmul per (batch, head)."""
-        batch, heads = a.shape[0], a.shape[1]
-        output = np.empty(a.shape[:-1] + (b.shape[-1],), dtype=np.float64)
-        for batch_index in range(batch):
-            for head_index in range(heads):
-                left = a[batch_index, head_index]
-                right = b[batch_index, head_index]
-                output[batch_index, head_index] = self._dynamic_tender_matmul(left, right)
-        return output
+        return self._attention_quantized(a, b)
 
     def _quantize_attention_operands(self, a, b):
         """Stacked dynamic Tender quantization of both attention operands.
 
-        The shared preamble of the vectorized reference kernel and the fast
-        Index-Buffer kernels: per-(batch, head) bias subtraction,
-        power-of-alpha channel classification (the same rule as
+        The shared preamble of the Index-Buffer kernels and the masked
+        kernel in :mod:`repro.core.reference`: per-(batch, head) bias
+        subtraction, power-of-alpha channel classification (the same rule as
         ``repro.core.decomposition.decompose_channels``, vectorized over
         heads), activation quantization, and per-column quantization of the
         right operand.  Returns ``(quantized, group_index, group_scales,
@@ -340,7 +264,7 @@ class TenderExecutor:
 
         ``quantized`` and ``right_q`` are integer-valued float64 (exact
         integers — see the dtype note in :mod:`repro.core.kernels`): the
-        fast kernels consume them directly on BLAS, and the reference
+        stacked kernels consume them directly on BLAS, and the scanning
         grouped kernels widen them to int64 at entry.
         """
         config = self.config
@@ -381,57 +305,19 @@ class TenderExecutor:
         right_q = np.clip(np.round(b / right_scale), -qmax, qmax)
         return quantized, group_index, group_scales, right_q, right_scale, bias
 
-    def _attention_matmul_vectorized(self, a, b):
-        """Batched dynamic Tender matmul over all (batch, head) pairs at once.
+    def _attention_quantized(self, a, b):
+        """Index-Buffer-ordered attention over stacked heads.
 
-        Produces bit-identical results to :meth:`_attention_matmul_loop`: every
-        floating-point operation is elementwise (hence order-independent) and
-        the integer group partial sums are exact, so collapsing the Python
-        loops into stacked einsum/matmul calls changes performance only.
-        Per-group channel gathers are replaced by masked full-width integer
-        matmuls, which keeps a single kernel shape across heads even though
-        each head has its own channel-to-group assignment (the fast kernels
-        remove that redundancy; this path is the pinned reference).
-        """
-        num_groups = self.config.num_groups
-        lead = a.shape[:-2]
-        quantized, group_index, group_scales, right_q, right_scale, bias = (
-            self._quantize_attention_operands(a, b)
-        )
-
-        if self.implicit:
-            result = self._implicit_grouped_matmul(
-                quantized, group_index, group_scales, right_q, right_scale
-            )
-        else:
-            result = self._explicit_grouped_matmul(
-                quantized, group_index, group_scales, right_q, right_scale
-            )
-
-        if bias is not None:
-            # Stacked ``bias @ right`` products; BLAS evaluates each head's
-            # row-times-matrix product with the same reduction order as the
-            # reference loop's 1-D ``bias @ right``, so results stay
-            # bit-identical (the regression suite checks this).
-            result = result + bias[..., None, :] @ b
-        self.stats["rescales"] += int(np.prod(lead, dtype=np.int64)) * (num_groups - 1)
-        return result
-
-    def _attention_matmul_fast(self, a, b):
-        """Index-Buffer-ordered fast attention path over stacked heads.
-
-        Shares the exact quantization preamble with the reference kernels,
-        then multiplies without masked full-width products: the implicit
-        path fuses all groups into one alpha-weighted integer matmul
-        (falling back to the scanning reference kernel only when the
-        analytic bound says the 32-bit accumulator could overflow), and the
-        explicit path multiplies per-head group-contiguous segments.
-        Bit-identical to both reference paths.
+        Multiplies without masked full-width products: the implicit path
+        fuses all groups into one alpha-weighted integer matmul (falling
+        back to the scanning kernel only when the analytic bound says the
+        32-bit accumulator could overflow), and the explicit path
+        multiplies per-head group-contiguous segments.  Bit-identical to
+        both oracles in :mod:`repro.core.reference`.
         """
         config = self.config
         num_groups, alpha = config.num_groups, config.alpha
         qmax = integer_range(config.bits)
-        lead = a.shape[:-2]
         quantized, group_index, group_scales, right_q, right_scale, bias = (
             self._quantize_attention_operands(a, b)
         )
@@ -443,8 +329,8 @@ class TenderExecutor:
                 )
             else:
                 # The analytic bound says the accumulator could leave the
-                # 32-bit range: run the scanning reference kernel, which
-                # raises exactly when the hardware would saturate.
+                # 32-bit range: run the scanning kernel, which raises
+                # exactly when the hardware would saturate.
                 result = self._implicit_grouped_matmul(
                     quantized, group_index, group_scales, right_q, right_scale
                 )
@@ -454,8 +340,11 @@ class TenderExecutor:
             )
 
         if bias is not None:
+            # Stacked ``bias @ right`` products; BLAS evaluates each head's
+            # row-times-matrix product with the same reduction order as the
+            # per-head oracle's 1-D ``bias @ right``, so results stay
+            # bit-identical (the regression suite checks this).
             result = result + bias[..., None, :] @ b
-        self.stats["rescales"] += int(np.prod(lead, dtype=np.int64)) * (num_groups - 1)
         return result
 
     def _implicit_grouped_matmul(self, quantized, group_index, group_scales, right_q, right_scale):
@@ -479,58 +368,6 @@ class TenderExecutor:
         final_scale = group_scales[..., -1][..., None, None]
         return accumulator.astype(np.float64) * final_scale * right_scale
 
-    def _explicit_grouped_matmul(self, quantized, group_index, group_scales, right_q, right_scale):
-        """Equation 1 over stacked heads: dequantize and accumulate each group."""
-        quantized = quantized.astype(np.int64, copy=False)
-        right_q = right_q.astype(np.int64, copy=False)
-        lead_mn = quantized.shape[:-1] + (right_q.shape[-1],)
-        result = np.zeros(lead_mn, dtype=np.float64)
-        for group in range(self.config.num_groups):
-            mask = group_index == group
-            if not mask.any():
-                continue
-            partial = (quantized * mask[..., None, :]) @ right_q
-            if partial.max(initial=0) > _ACC_MAX or partial.min(initial=0) < _ACC_MIN:
-                raise QuantizationError(
-                    "integer matmul overflowed the 32-bit accumulator; reduce the "
-                    "reduction length or the operand bit widths"
-                )
-            group_scale = group_scales[..., group][..., None, None]
-            result = result + partial.astype(np.float64) * group_scale * right_scale
-        return result
-
-    def _dynamic_tender_matmul(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Tender quantization of one head's activation-activation product.
-
-        ``left`` plays the role of the decomposed activation (its columns are
-        the reduction channels); ``right`` is quantized per output column like
-        a weight.  Decomposition is dynamic because both operands only exist
-        at runtime; the paper notes the same algorithm applies to
-        activation-activation matmuls (Section III-A).
-        """
-        config = self.config
-        channel_max = left.max(axis=0)
-        channel_min = left.min(axis=0)
-        if config.subtract_bias:
-            bias = compute_channel_bias(channel_max, channel_min)
-            shifted = left - bias
-            absmax = (channel_max - channel_min) / 2.0
-        else:
-            bias = None
-            shifted = left
-            absmax = np.maximum(np.abs(channel_max), np.abs(channel_min))
-        decomposition = decompose_channels(
-            absmax, num_groups=config.num_groups, bits=config.bits, alpha=config.alpha
-        )
-        quantized, _ = quantize_decomposed(shifted, decomposition)
-        right_scale = compute_scale(right, config.bits, Granularity.PER_COLUMN)
-        right_q = quantize_symmetric(right, right_scale, config.bits)
-        result = requantized_matmul(quantized, decomposition, right_q, right_scale, implicit=self.implicit)
-        if bias is not None:
-            result = result + bias @ right
-        self.stats["rescales"] += decomposition.num_groups - 1
-        return result
-
 
 class TenderQuantizer:
     """High-level API: calibrate a model and return a quantized runner.
@@ -542,15 +379,9 @@ class TenderQuantizer:
     >>> log_probs = runner.log_probs(tokens)
     """
 
-    def __init__(
-        self,
-        config: Optional[TenderConfig] = None,
-        implicit: bool = True,
-        fast_kernels: bool = True,
-    ) -> None:
+    def __init__(self, config: Optional[TenderConfig] = None, implicit: bool = True) -> None:
         self.config = config or TenderConfig()
         self.implicit = implicit
-        self.fast_kernels = fast_kernels
         self.site_params: Optional[Dict[str, TenderSiteParams]] = None
 
     def calibrate(
@@ -564,9 +395,7 @@ class TenderQuantizer:
         """Build an executor from previously computed calibration parameters."""
         if self.site_params is None:
             raise CalibrationError("call calibrate() before build_executor()")
-        return TenderExecutor(
-            self.site_params, self.config, implicit=self.implicit, fast_kernels=self.fast_kernels
-        )
+        return TenderExecutor(self.site_params, self.config, implicit=self.implicit)
 
     def quantize(
         self, weights: ModelWeights, samples: List[np.ndarray], classify: bool = False

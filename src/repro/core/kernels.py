@@ -36,7 +36,7 @@ This module is the software mirror of that dataflow:
   dense path would have produced, bit for bit.
 
 Every kernel is bit-identical to the reference implementations in
-:mod:`repro.core.requantization` and ``TenderExecutor``: integer partial
+:mod:`repro.core.requantization` and :mod:`repro.core.reference`: integer partial
 sums are exact regardless of evaluation order, and the floating-point
 rescale/accumulate sequence is kept operation-for-operation the same.  The
 per-group ``accumulator.max()`` scans of the reference are replaced by

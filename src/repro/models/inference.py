@@ -110,7 +110,10 @@ def dense_cached_attention(
 ) -> np.ndarray:
     """Masked-softmax attention over densely gathered cache views.
 
-    The reference (gather-then-dense) cached-attention core: scores through
+    The gather-then-dense cached-attention core, used whenever
+    :func:`fused_attention_ready` is False (Tender "all", whose dynamic
+    per-head statistics need dense operands; the dense ``KVCache``; and
+    executors without ``plain_attention``): scores through
     the executor's ``attention_matmul``, slot-visibility masking (a slot
     ``s`` is visible to a query at position ``p`` iff ``s <= p``), softmax,
     padded-probability-row replacement, and the ``X_S @ X_V`` product.
@@ -219,12 +222,6 @@ class TransformerRunner:
         self.weights = weights
         self.config = weights.config
         self.executor = executor if executor is not None else FloatExecutor()
-        #: Read KV straight from paged-block storage during cached attention
-        #: (see :func:`repro.core.kernels.paged_attention`).  Takes effect
-        #: only when both the executor (``plain_attention``) and the cache
-        #: (``supports_paged_attention``) allow it; clear it to force the
-        #: gather-then-dense reference path.
-        self.fused_paged_attention = True
 
     # ------------------------------------------------------------------
     # Building blocks
@@ -381,7 +378,7 @@ class TransformerRunner:
 
         queries, keys, values = split(queries), split(keys), split(values)
         cache.write(index, keys, values, positions)
-        if self.fused_paged_attention and fused_attention_ready(self.executor, cache):
+        if fused_attention_ready(self.executor, cache):
             # Both attention products are plain matmuls, so read K/V straight
             # from block storage — no dense gather.  Operands are fetched
             # *after* the write: any copy-on-write fork the write triggered is
@@ -545,8 +542,8 @@ class TransformerRunner:
         row's logits do not depend on which physical slot or batch row it
         currently occupies — the property that makes the continuous
         scheduler's slot reuse safe.  This scattered-position batch is the
-        hot path of Tender's fast kernels: ``TenderExecutor`` serves every
-        projection here from packed calibration tables indexed by
+        hot path of Tender's Index-Buffer kernels: ``TenderExecutor`` serves
+        every projection here from packed calibration tables indexed by
         ``positions // chunk_size`` (one gather, no per-chunk Python loop —
         see :mod:`repro.core.kernels`).  Returns logits of shape
         (batch, vocab).

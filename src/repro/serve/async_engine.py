@@ -504,7 +504,12 @@ prefix_cache, prefill_chunk, speculation
             await asyncio.sleep(0)
 
     async def close(self) -> None:
-        """Stop the serve loop; outstanding streams resolve as cancelled."""
+        """Stop the serve loop; outstanding streams resolve as cancelled.
+
+        Also clears the scheduler's (or pool's) ``on_token`` hook, which
+        points back at this engine: without that cycle a dropped engine's
+        KV pool is freed by refcounting, not by the cycle collector.
+        """
         if self._closed:
             return
         self._closed = True
@@ -524,6 +529,7 @@ prefix_cache, prefill_chunk, speculation
             except asyncio.CancelledError:
                 pass
             self._task = None
+        self.scheduler.on_token = None
 
     async def __aenter__(self) -> "AsyncEngine":
         """Enter the async context (the loop starts on first submit)."""

@@ -91,13 +91,7 @@ def _clone_executor(executor: MatmulExecutor) -> MatmulExecutor:
     constructor.
     """
     if hasattr(executor, "site_params"):
-        return type(executor)(
-            executor.site_params,
-            executor.config,
-            implicit=executor.implicit,
-            vectorized_attention=executor.vectorized_attention,
-            fast_kernels=executor.fast_kernels,
-        )
+        return type(executor)(executor.site_params, executor.config, implicit=executor.implicit)
     try:
         return type(executor)()
     except TypeError as error:  # pragma: no cover - defensive
@@ -147,7 +141,6 @@ class ShardedRunner(TransformerRunner):
                 f"runner wants {num_shards}"
             )
         super().__init__(runner.weights, runner.executor)
-        self.fused_paged_attention = runner.fused_paged_attention
         self.num_shards = num_shards
         self.group = group if group is not None else CollectiveGroup(num_shards)
         if executor_factory is None:
@@ -278,7 +271,7 @@ class ShardedRunner(TransformerRunner):
         (one write, exactly like the solo runner), and the per-shard
         contexts gather back to full width before the column-parallel output
         projection.  Every per-head step — fused paged attention or the
-        dense reference — is independent per head, so the gathered result is
+        dense gather path — is independent per head, so the gathered result is
         bit-identical to the solo runner's.
         """
         block = self.weights.blocks[index]
@@ -297,9 +290,7 @@ class ShardedRunner(TransformerRunner):
             positions,
         )
 
-        fused = self.fused_paged_attention and all(
-            fused_attention_ready(executor, cache) for executor in self.executors
-        )
+        fused = all(fused_attention_ready(executor, cache) for executor in self.executors)
         if fused:
             # Operands fetched after the write, same as the solo runner: any
             # copy-on-write fork is already reflected in the run table.

@@ -1,9 +1,11 @@
-"""Regression: the batched Tender attention kernel vs the reference loop.
+"""Regression: the batched Tender attention oracle vs the reference loop.
 
-The vectorized path must match the seed's per-batch/per-head loop bit for bit
-(``np.array_equal``, not allclose) across requantization modes, alphas, bit
-widths, and degenerate inputs — and the executor's stats counters must advance
-identically on both paths.
+``ReferenceTenderExecutor`` computes attention as one masked full-width
+integer matmul per group over all (batch, head) pairs at once;
+``loop_attention_matmul`` runs one dynamic Tender matmul per (batch, head)
+pair.  The two oracles must agree bit for bit (``np.array_equal``, not
+allclose) across requantization modes, alphas, bit widths, and degenerate
+inputs, and must raise alike on 32-bit accumulator overflow.
 """
 
 from __future__ import annotations
@@ -13,13 +15,18 @@ import pytest
 
 from repro.core.config import TenderConfig
 from repro.core.executor import TenderExecutor
+from repro.core.reference import ReferenceTenderExecutor, loop_attention_matmul
 from repro.errors import QuantizationError
 
 
-def make_executor(implicit=True, vectorized=True, **config_kwargs) -> TenderExecutor:
+def make_config(**config_kwargs) -> TenderConfig:
     defaults = dict(bits=8, num_groups=6, quantize_attention=True)
     defaults.update(config_kwargs)
-    return TenderExecutor({}, TenderConfig(**defaults), implicit=implicit, vectorized_attention=vectorized)
+    return TenderConfig(**defaults)
+
+
+def batched(config, a, b, implicit=True):
+    return ReferenceTenderExecutor({}, config, implicit=implicit).attention_matmul("qk", a, b)
 
 
 def attention_operands(rng, batch=3, heads=4, rows=7, channels=16, out=9, outlier=50.0):
@@ -35,66 +42,48 @@ class TestBitForBit:
     @pytest.mark.parametrize("bits", [4, 8])
     @pytest.mark.parametrize("subtract_bias", [True, False])
     def test_vectorized_equals_loop(self, rng, implicit, alpha, bits, subtract_bias):
-        executor = make_executor(
-            implicit=implicit, alpha=alpha, bits=bits, subtract_bias=subtract_bias
-        )
+        config = make_config(alpha=alpha, bits=bits, subtract_bias=subtract_bias)
         a, b = attention_operands(rng)
-        loop = executor._attention_matmul_loop(a, b)
-        vectorized = executor._attention_matmul_vectorized(a, b)
-        assert np.array_equal(loop, vectorized)
+        assert np.array_equal(
+            loop_attention_matmul(a, b, config, implicit), batched(config, a, b, implicit)
+        )
 
     def test_decode_shape_single_row_queries(self, rng):
-        executor = make_executor()
+        config = make_config()
         a, b = attention_operands(rng, batch=8, heads=4, rows=1, channels=16, out=40)
-        assert np.array_equal(
-            executor._attention_matmul_loop(a, b), executor._attention_matmul_vectorized(a, b)
-        )
+        assert np.array_equal(loop_attention_matmul(a, b, config), batched(config, a, b))
 
     def test_degenerate_all_zero_head(self, rng):
-        executor = make_executor(num_groups=4)
+        config = make_config(num_groups=4)
         a, b = attention_operands(rng, batch=2, heads=2, rows=5, channels=8, out=3)
         a[0, 1] = 0.0  # one head is entirely zero -> degenerate decomposition
-        assert np.array_equal(
-            executor._attention_matmul_loop(a, b), executor._attention_matmul_vectorized(a, b)
-        )
+        assert np.array_equal(loop_attention_matmul(a, b, config), batched(config, a, b))
 
     def test_heads_with_different_group_assignments(self, rng):
         """Each head gets its own channel-to-group map; masking must respect it."""
-        executor = make_executor(num_groups=8)
+        config = make_config(num_groups=8)
         a, b = attention_operands(rng, batch=2, heads=3, rows=6, channels=12)
         a[0, 0, :, 2] *= 400.0   # head (0,0): extreme outlier -> empty middle groups
         a[1, 2] *= 0.01          # head (1,2): uniformly tiny values
-        assert np.array_equal(
-            executor._attention_matmul_loop(a, b), executor._attention_matmul_vectorized(a, b)
-        )
+        assert np.array_equal(loop_attention_matmul(a, b, config), batched(config, a, b))
 
 
 class TestDispatchAndStats:
     def test_attention_matmul_dispatches_to_vectorized(self, rng):
-        loop_executor = make_executor(vectorized=False)
-        vec_executor = make_executor(vectorized=True)
+        """Production ``attention_matmul`` equals the batched oracle it replaced."""
+        config = make_config()
         a, b = attention_operands(rng)
         assert np.array_equal(
-            loop_executor.attention_matmul("qk", a, b), vec_executor.attention_matmul("qk", a, b)
+            TenderExecutor({}, config).attention_matmul("qk", a, b), batched(config, a, b)
         )
 
-    def test_stats_counters_match_loop_path(self, rng):
-        loop_executor = make_executor(vectorized=False)
-        vec_executor = make_executor(vectorized=True)
-        a, b = attention_operands(rng, batch=3, heads=4)
-        for _ in range(2):
-            loop_executor.attention_matmul("qk", a, b)
-            vec_executor.attention_matmul("qk", a, b)
-        assert loop_executor.stats == vec_executor.stats
-        assert vec_executor.stats["attention_matmuls"] == 2
-        # (G - 1) rescales per (batch, head) pair per call.
-        assert vec_executor.stats["rescales"] == 2 * 3 * 4 * 5
-
     def test_unquantized_attention_untouched(self, rng):
-        executor = make_executor(quantize_attention=False)
+        config = make_config(quantize_attention=False)
         a, b = attention_operands(rng)
-        np.testing.assert_array_equal(executor.attention_matmul("qk", a, b), a @ b)
-        assert executor.stats["attention_matmuls"] == 0
+        for executor_class in (TenderExecutor, ReferenceTenderExecutor):
+            np.testing.assert_array_equal(
+                executor_class({}, config).attention_matmul("qk", a, b), a @ b
+            )
 
 
 class TestOverflow:
@@ -110,14 +99,19 @@ class TestOverflow:
         return a, b
 
     def test_vectorized_implicit_overflow_raises(self):
-        executor = make_executor(num_groups=40, subtract_bias=False)
+        config = make_config(num_groups=40, subtract_bias=False)
         a, b = self.overflow_operands()
         with pytest.raises(QuantizationError):
-            executor._attention_matmul_vectorized(a, b)
+            batched(config, a, b)
 
     def test_loop_and_vectorized_raise_alike(self):
+        config = make_config(num_groups=40, subtract_bias=False)
         a, b = self.overflow_operands()
-        for vectorized in (False, True):
-            executor = make_executor(num_groups=40, subtract_bias=False, vectorized=vectorized)
+        paths = (
+            lambda: loop_attention_matmul(a, b, config),
+            lambda: batched(config, a, b),
+            lambda: TenderExecutor({}, config).attention_matmul("qk", a, b),
+        )
+        for attention in paths:
             with pytest.raises(QuantizationError):
-                executor.attention_matmul("qk", a, b)
+                attention()

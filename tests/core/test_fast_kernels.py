@@ -1,12 +1,14 @@
-"""Bit-exactness sweep: fast Index-Buffer kernels vs the reference paths.
+"""Bit-exactness sweep: the production Tender executor vs the oracles.
 
-The fast kernels (``repro.core.kernels``, default via ``fast_kernels=True``)
-must match the reference implementations *exactly* (``np.array_equal``, not
-allclose) across requantization modes, bias subtraction, ragged decode
-positions, empty groups, and degenerate inputs — and must raise the same
-``QuantizationError`` on 32-bit accumulator overflow.  These tests pin the
-tentpole guarantee that making the software mirror the hardware dataflow
-changes performance only.
+``TenderExecutor`` runs the Index-Buffer kernels of ``repro.core.kernels``.
+It must match the literal-equation oracles of ``repro.core.reference`` —
+``ReferenceTenderExecutor`` (per-chunk projection loop, masked stacked-head
+attention) and ``loop_attention_matmul`` (one dynamic Tender matmul per
+batch and head) — *exactly* (``np.array_equal``, not allclose) across
+requantization modes, bias subtraction, ragged decode positions, empty
+groups, and degenerate inputs, and must raise the same ``QuantizationError``
+on 32-bit accumulator overflow.  These tests pin the guarantee that making
+the software mirror the hardware dataflow changes performance only.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 
 from repro.core import TenderConfig, TenderExecutor, pack_site_params
 from repro.core.calibration import _ChunkedStatistics
+from repro.core.reference import ReferenceTenderExecutor, loop_attention_matmul
 from repro.errors import QuantizationError
 
 CHANNELS, OUT = 48, 24
@@ -34,13 +37,13 @@ def calibrated_site(rng, config, channels=CHANNELS, chunks=5, outliers=True):
 
 
 def make_pair(rng, implicit=True, **config_kwargs):
-    """(fast, reference) executors sharing one calibrated site."""
+    """(production, reference) executors sharing one calibrated site."""
     defaults = dict(bits=8, num_groups=8, row_chunk_size=16, quantize_attention=True)
     defaults.update(config_kwargs)
     config = TenderConfig(**defaults)
     params = calibrated_site(rng, config)
-    fast = TenderExecutor(params, config, implicit=implicit, fast_kernels=True)
-    reference = TenderExecutor(params, config, implicit=implicit, fast_kernels=False)
+    fast = TenderExecutor(params, config, implicit=implicit)
+    reference = ReferenceTenderExecutor(params, config, implicit=implicit)
     return fast, reference, config
 
 
@@ -58,7 +61,6 @@ class TestProjectionBitExact:
             fast.project("site", x, weight, layer_bias),
             reference.project("site", x, weight, layer_bias),
         )
-        assert fast.stats == reference.stats
 
     @pytest.mark.parametrize("implicit", [True, False])
     @pytest.mark.parametrize("subtract_bias", [True, False])
@@ -74,7 +76,6 @@ class TestProjectionBitExact:
             fast.project("site", x, weight, None, positions=positions),
             reference.project("site", x, weight, None, positions=positions),
         )
-        assert fast.stats == reference.stats
 
     @pytest.mark.parametrize("implicit", [True, False])
     def test_lowbit_and_few_groups(self, rng, implicit):
@@ -102,8 +103,8 @@ class TestProjectionBitExact:
         statistics = _ChunkedStatistics(16)
         statistics.update(calibration)
         params = {"site": statistics.finalize("site", config)}
-        fast = TenderExecutor(params, config, implicit=implicit, fast_kernels=True)
-        reference = TenderExecutor(params, config, implicit=implicit, fast_kernels=False)
+        fast = TenderExecutor(params, config, implicit=implicit)
+        reference = ReferenceTenderExecutor(params, config, implicit=implicit)
         decomposition = params["site"].chunks[0].decomposition
         assert (decomposition.group_sizes == 0).any(), "fixture should produce empty groups"
         weight = rng.normal(size=(CHANNELS, OUT))
@@ -123,6 +124,9 @@ def overflow_site(channels, config):
     return {"site": statistics.finalize("site", config)}
 
 
+EXECUTORS = (TenderExecutor, ReferenceTenderExecutor)
+
+
 class TestOverflowGuard:
     def test_implicit_overflow_raises_on_both_paths(self):
         """Rescaled accumulation past 2^31 must still raise on the fast path."""
@@ -131,8 +135,8 @@ class TestOverflowGuard:
         params = overflow_site(channels, config)
         weight = np.ones((channels, 3))
         x = np.ones((2, channels)) * 10.0
-        for fast_kernels in (True, False):
-            executor = TenderExecutor(params, config, implicit=True, fast_kernels=fast_kernels)
+        for executor_class in EXECUTORS:
+            executor = executor_class(params, config, implicit=True)
             with pytest.raises(QuantizationError, match="implicit requantization overflowed"):
                 executor.project("site", x, weight, None)
 
@@ -142,8 +146,8 @@ class TestOverflowGuard:
         params = overflow_site(channels, config)
         weight = np.ones((channels, 2))
         x = np.ones((1, channels)) * 10.0
-        for fast_kernels in (True, False):
-            executor = TenderExecutor(params, config, implicit=False, fast_kernels=fast_kernels)
+        for executor_class in EXECUTORS:
+            executor = executor_class(params, config, implicit=False)
             with pytest.raises(QuantizationError, match="integer matmul overflowed"):
                 executor.project("site", x, weight, None)
 
@@ -157,10 +161,8 @@ class TestOverflowGuard:
         weight = np.ones((channels, 3))
         x = rng.normal(size=(4, channels)) * 0.01
         outputs = [
-            TenderExecutor(params, config, implicit=True, fast_kernels=fk).project(
-                "site", x, weight, None
-            )
-            for fk in (True, False)
+            executor_class(params, config, implicit=True).project("site", x, weight, None)
+            for executor_class in EXECUTORS
         ]
         assert np.array_equal(outputs[0], outputs[1])
 
@@ -172,12 +174,18 @@ class TestOverflowGuard:
         )
         a = np.ones((1, 1, 2, channels)) * 10.0
         b = np.ones((1, 1, channels, 3))
-        for fast_kernels, vectorized in ((True, True), (False, True), (False, False)):
-            executor = TenderExecutor(
-                {}, config, implicit=True, fast_kernels=fast_kernels, vectorized_attention=vectorized
-            )
+        for attention in attention_paths(config):
             with pytest.raises(QuantizationError, match="implicit requantization overflowed"):
-                executor.attention_matmul("qk", a, b)
+                attention(a, b)
+
+
+def attention_paths(config, implicit=True):
+    """Production, masked-oracle and loop-oracle attention as ``f(a, b)``."""
+    return (
+        lambda a, b: TenderExecutor({}, config, implicit).attention_matmul("qk", a, b),
+        lambda a, b: ReferenceTenderExecutor({}, config, implicit).attention_matmul("qk", a, b),
+        lambda a, b: loop_attention_matmul(a, b, config, implicit),
+    )
 
 
 def attention_operands(rng, batch=3, heads=4, rows=7, channels=16, out=9, outlier=50.0):
@@ -185,6 +193,14 @@ def attention_operands(rng, batch=3, heads=4, rows=7, channels=16, out=9, outlie
     a[..., 1] *= outlier
     b = rng.normal(size=(batch, heads, channels, out))
     return a, b
+
+
+def assert_attention_matches_loop(config, a, b, implicit=True):
+    """Production and masked-oracle attention each equal the loop oracle."""
+    production, masked, loop = attention_paths(config, implicit)
+    expected = loop(a, b)
+    assert np.array_equal(production(a, b), expected)
+    assert np.array_equal(masked(a, b), expected)
 
 
 class TestAttentionBitExact:
@@ -197,40 +213,27 @@ class TestAttentionBitExact:
             bits=bits, num_groups=6, alpha=alpha, subtract_bias=subtract_bias,
             quantize_attention=True,
         )
-        fast = TenderExecutor({}, config, implicit=implicit, fast_kernels=True)
-        reference = TenderExecutor({}, config, implicit=implicit, fast_kernels=False)
-        loop = TenderExecutor(
-            {}, config, implicit=implicit, fast_kernels=False, vectorized_attention=False
-        )
         a, b = attention_operands(rng)
-        fast_out = fast.attention_matmul("qk", a, b)
-        assert np.array_equal(fast_out, loop.attention_matmul("qk", a, b))
-        assert np.array_equal(fast_out, reference.attention_matmul("qk", a, b))
-        assert fast.stats == reference.stats == loop.stats
+        assert_attention_matches_loop(config, a, b, implicit)
 
     def test_decode_shape_single_row_queries(self, rng):
         config = TenderConfig(bits=8, num_groups=8, quantize_attention=True)
-        fast = TenderExecutor({}, config, fast_kernels=True)
-        loop = TenderExecutor({}, config, fast_kernels=False, vectorized_attention=False)
         a, b = attention_operands(rng, batch=8, heads=4, rows=1, channels=16, out=40)
-        assert np.array_equal(fast.attention_matmul("qk", a, b), loop.attention_matmul("qk", a, b))
+        assert_attention_matches_loop(config, a, b)
 
     def test_degenerate_all_zero_head(self, rng):
         config = TenderConfig(bits=8, num_groups=4, quantize_attention=True)
-        fast = TenderExecutor({}, config, fast_kernels=True)
-        loop = TenderExecutor({}, config, fast_kernels=False, vectorized_attention=False)
         a, b = attention_operands(rng, batch=2, heads=2, rows=5, channels=8, out=3)
-        a[0, 1] = 0.0
-        assert np.array_equal(fast.attention_matmul("qk", a, b), loop.attention_matmul("qk", a, b))
+        a[0, 1] = 0.0  # one head is entirely zero -> degenerate decomposition
+        assert_attention_matches_loop(config, a, b)
 
     def test_heads_with_different_group_assignments(self, rng):
+        """Each head gets its own channel-to-group map; masking must respect it."""
         config = TenderConfig(bits=8, num_groups=8, quantize_attention=True)
-        fast = TenderExecutor({}, config, fast_kernels=True)
-        loop = TenderExecutor({}, config, fast_kernels=False, vectorized_attention=False)
         a, b = attention_operands(rng, batch=2, heads=3, rows=6, channels=12)
-        a[0, 0, :, 2] *= 400.0
-        a[1, 2] *= 0.01
-        assert np.array_equal(fast.attention_matmul("qk", a, b), loop.attention_matmul("qk", a, b))
+        a[0, 0, :, 2] *= 400.0   # head (0,0): extreme outlier -> empty middle groups
+        a[1, 2] *= 0.01          # head (1,2): uniformly tiny values
+        assert_attention_matches_loop(config, a, b)
 
 
 class TestPackedTables:

@@ -13,6 +13,8 @@ through ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -316,6 +318,24 @@ class TestCancellation:
         assert output.finish_reason == "cancelled"
         assert len(output.generated) >= 1
         assert free_after == total
+
+    def test_closed_engine_pool_is_freed_by_refcounting(self, runner, prompt_pool):
+        """close() breaks the engine <-> scheduler ``on_token`` cycle, so a
+        dropped engine's KV pool dies without waiting for the cycle collector."""
+
+        async def main():
+            engine = AsyncEngine(runner, GenerationConfig(max_new_tokens=4), max_batch_size=1)
+            await (await engine.submit(prompt_pool[0])).result()
+            await engine.close()
+            return weakref.ref(engine.scheduler.cache)
+
+        gc.collect()
+        gc.disable()
+        try:
+            pool = asyncio.run(main())
+            assert pool() is None
+        finally:
+            gc.enable()
 
 
 class TestClassStats:

@@ -1,9 +1,10 @@
 """Serving parity sweep: fused paged attention vs the gather reference path.
 
 The fused path (``repro.core.kernels.paged_attention``) reads K/V straight
-from ``PagedKVCache`` block storage; the retained reference fancy-indexes
-the same blocks into dense per-view copies first.  The correctness bar,
-matching the house style: Tender implicit/explicit tokens **and** step
+from ``PagedKVCache`` block storage; the gather path fancy-indexes the same
+blocks into dense per-view copies first, and patching
+``SlotBatchView.supports_paged_attention`` to False forces it.  The
+correctness bar, matching the house style: Tender implicit/explicit tokens **and** step
 logits must be bit-identical between the two paths across prefix cache
 on/off, copy-on-write forks, chunked prefill, speculative verify, and
 contexts exactly at / one past a block multiple.  The FP baseline's tokens
@@ -15,12 +16,15 @@ documented in ``docs/architecture.md``.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from repro.core import TenderConfig, TenderQuantizer
 from repro.models import TransformerRunner
 from repro.serve import GenerationConfig, ModelDraft, Scheduler, SpecConfig
+from repro.serve.paged_kv_cache import SlotBatchView
 
 
 def tender_runner(weights, calibration, implicit: bool, **config_kwargs) -> TransformerRunner:
@@ -74,14 +78,11 @@ def serve_all(
         prefill_chunk=prefill_chunk,
         speculation=speculation,
     )
-    before = runner.fused_paged_attention
-    runner.fused_paged_attention = fused
-    try:
+    # Hiding the block-table operands forces the gather path.
+    with mock.patch.object(SlotBatchView, "supports_paged_attention", fused):
         for prompt in prompts:
             scheduler.submit(prompt)
         outputs = {output.request_id: output for output in scheduler.run()}
-    finally:
-        runner.fused_paged_attention = before
     return outputs, scheduler
 
 
@@ -170,7 +171,7 @@ class TestGatherBytes:
 
     def test_quantized_attention_keeps_the_gather_path(self, outlier_weights, calibration, prompts):
         """Tender "all" needs dense operands for its dynamic statistics; the
-        fused flag must not reroute it."""
+        fused path must not take it over."""
         runner = tender_runner(
             outlier_weights, calibration, implicit=True, quantize_attention=True
         )

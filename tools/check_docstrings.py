@@ -30,7 +30,12 @@ import ast
 import sys
 from pathlib import Path
 
-DEFAULT_SCOPE = ("src/repro/serve", "src/repro/gpu", "src/repro/core/kernels.py")
+DEFAULT_SCOPE = (
+    "src/repro/serve",
+    "src/repro/gpu",
+    "src/repro/core/kernels.py",
+    "src/repro/core/reference.py",
+)
 
 
 def is_public(name: str) -> bool:

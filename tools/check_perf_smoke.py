@@ -10,8 +10,9 @@ Nine checks run back to back:
 1. **Fast kernels** — builds the shared synthetic decode workload from
    ``repro.core.perf`` (no model training, no checkpoint cache — the same
    fixture ``benchmarks/bench_executor_kernels.py`` measures), verifies
-   that the fast Index-Buffer projection path is bit-identical to the
-   reference per-chunk loop, then times both.  The fast path has to beat
+   that ``TenderExecutor``'s Index-Buffer projection path is bit-identical
+   to the per-chunk loop of ``repro.core.reference.ReferenceTenderExecutor``,
+   then times both.  The fast path has to beat
    the reference by ``REQUIRED_SPEEDUP`` — a deliberately loose fraction of
    the ~10-20x the kernels deliver on this workload (see
    ``BENCH_kernels.json``), so a future PR that accidentally routes the hot
@@ -38,7 +39,8 @@ Nine checks run back to back:
    of shipping.
 
 4. **Fused paged attention** — serves the same random-weight model with
-   the fused block-table attention on and off and gates on the
+   the fused block-table attention on and off (``SlotBatchView``'s
+   ``supports_paged_attention`` patched to False) and gates on the
    deterministic accounting: generated tokens must be identical, the
    fused run must move **zero** dense KV bytes
    (``PagedKVCache.gather_bytes``), and the reference run must tally at
@@ -105,10 +107,12 @@ Exit status 0 when clean; 1 with a one-line diagnosis otherwise.
 from __future__ import annotations
 
 import sys
+from unittest import mock
 
 import numpy as np
 
 from repro.core import TenderConfig, TenderExecutor
+from repro.core.reference import ReferenceTenderExecutor
 from repro.core.perf import best_of, decode_projection_operands, synthetic_projection_site
 
 #: The fast path must be at least this many times faster than the reference.
@@ -386,12 +390,12 @@ def check_serving_smoke() -> int:
     return 0
 
 
-def check_fast_kernels() -> int:
+def check_projection_kernels() -> int:
     """Fast Index-Buffer projection vs the reference per-chunk loop."""
     config = TenderConfig(bits=8, num_groups=8, row_chunk_size=32)
     params = synthetic_projection_site(config)
-    fast = TenderExecutor(params, config, implicit=True, fast_kernels=True)
-    reference = TenderExecutor(params, config, implicit=True, fast_kernels=False)
+    fast = TenderExecutor(params, config, implicit=True)
+    reference = ReferenceTenderExecutor(params, config, implicit=True)
     x, positions, weight = decode_projection_operands()
 
     fast_out = fast.project("site", x, weight, None, positions=positions)
@@ -424,6 +428,7 @@ def check_fast_kernels() -> int:
 def check_fused_attention() -> int:
     """Deterministic fused paged-attention parity and KV-traffic gate."""
     from repro.serve import GenerationConfig, Scheduler
+    from repro.serve.paged_kv_cache import SlotBatchView
 
     runner = _tiny_serving_runner()
     rng = np.random.default_rng(5)
@@ -438,14 +443,11 @@ def check_fused_attention() -> int:
             block_size=8,
             record_logits=False,
         )
-        before = runner.fused_paged_attention
-        runner.fused_paged_attention = fused
-        try:
+        # Hiding the block-table operands forces the gather path.
+        with mock.patch.object(SlotBatchView, "supports_paged_attention", fused):
             for prompt in prompts:
                 scheduler.submit(prompt)
             outputs = {output.request_id: output for output in scheduler.run()}
-        finally:
-            runner.fused_paged_attention = before
         return outputs, scheduler.cache.gather_bytes
 
     outputs_fused, fused_bytes = serve(True)
@@ -957,7 +959,7 @@ def check_tensor_parallel() -> int:
 def main() -> int:
     """Run every smoke gate; first failure wins."""
     return (
-        check_fast_kernels()
+        check_projection_kernels()
         or check_serving_smoke()
         or check_speculative_smoke()
         or check_fused_attention()
